@@ -2,7 +2,10 @@
 # Tier-1 gate in one command: configure + build + ctest, with warnings
 # in src/dist/ promoted to errors (PGTI_WERROR), plus a multi-process
 # smoke stage proving the socket transport reproduces in-process
-# losses byte for byte across forked rank processes.
+# losses byte for byte across forked rank processes, plus a build of
+# the repository benchmark (perfbench/CMakeLists.txt, into
+# <build-dir>-perfbench) so a library API change that breaks the
+# benchmark fails the gate.
 #
 #   scripts/check.sh [build-dir]
 #
@@ -28,9 +31,11 @@
 #                  prefetch pipeline; under ASan the arena poisons
 #                  recycled blocks between leases, so stale reads of
 #                  pooled memory fault instead of silently reusing
-#                  bits), and serve_test (client threads submitting
+#                  bits), serve_test (client threads submitting
 #                  against the coalescing worker while a training
-#                  thread publishes copy-on-publish snapshots).
+#                  thread publishes copy-on-publish snapshots), and
+#                  extensions_test (PrefetchLoader sequence, multi-epoch
+#                  and batch-content checks on the gated worker).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -63,6 +68,15 @@ echo "== serving gate: micro-batch bit-parity + snapshot isolation =="
 "${build_dir}/serve_test" \
   --gtest_filter='ServeBitParity.CoalescedBatchMatchesSequentialForwards:ServeSnapshot.PublishFromTrainingThreadIsolatesVersions'
 
+echo
+echo "== benchmark build: perfbench against this tree's libpgti =="
+# perfbench is a project of its own (it pulls the library in from the
+# repository root), so the root build never compiles it; build it here
+# so an API change the benchmark depends on breaks the gate, not the
+# benchmark run.
+cmake -S "${repo_root}/perfbench" -B "${build_dir}-perfbench" -DCMAKE_BUILD_TYPE=Release
+cmake --build "${build_dir}-perfbench" --target perfbench -j "${jobs}"
+
 sanitize="${PGTI_SANITIZE:-}"
 if [ -n "${sanitize}" ]; then
   case "${sanitize}" in
@@ -72,9 +86,9 @@ if [ -n "${sanitize}" ]; then
        exit 1 ;;
   esac
   echo
-  echo "== ${sanitize} sanitizer pass (dist_* + epoch_engine + grad_overlap + kernel_fusion + arena + serve suites) in ${san_dir} =="
+  echo "== ${sanitize} sanitizer pass (dist_* + epoch_engine + grad_overlap + kernel_fusion + arena + serve + extensions suites) in ${san_dir} =="
   cmake -B "${san_dir}" -S "${repo_root}" -DPGTI_SANITIZE="${sanitize}" -DPGTI_WERROR=ON
   cmake --build "${san_dir}" -j "${jobs}"
   ctest --test-dir "${san_dir}" --output-on-failure -j "${jobs}" -L tier1 \
-        -R '^(dist_|epoch_engine|grad_overlap|kernel_fusion|arena|serve_)'
+        -R '^(dist_|epoch_engine|grad_overlap|kernel_fusion|arena|serve_|extensions)'
 fi

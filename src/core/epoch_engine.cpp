@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "core/trainer.h"
 
@@ -10,7 +11,11 @@ namespace pgti::core {
 BatchPipeline::BatchPipeline(data::DataLoader& loader, int prefetch_depth,
                              std::function<void()> on_batch)
     : loader_(&loader), on_batch_(std::move(on_batch)) {
-  if (prefetch_depth > 0) prefetch_.emplace(loader, prefetch_depth);
+  if (prefetch_depth != loader.prefetch_lookahead()) {
+    throw std::invalid_argument(
+        "BatchPipeline: prefetch depth must equal the loader's prefetch_lookahead");
+  }
+  if (prefetch_depth > 0) prefetch_.emplace(loader);
 }
 
 void BatchPipeline::start_epoch(int epoch, std::int64_t max_batches) {

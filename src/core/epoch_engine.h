@@ -6,11 +6,13 @@
 // accumulate losses and metrics, and close out truncated epochs.
 // EpochEngine owns that loop once:
 //
-//  * BatchPipeline binds one DataLoader to a prefetch depth (0 =
-//    drive the loader synchronously; N >= 1 = a depth-N PrefetchLoader
-//    ring whose worker stages — and, for device runs, uploads —
-//    batches ahead of compute) plus an optional per-batch hook the
-//    distributed trainer uses to drain/charge exposed fetch seconds.
+//  * BatchPipeline binds one DataLoader to its prefetch depth, which
+//    must equal the loader's prefetch_lookahead (0 = drive the loader
+//    synchronously; N >= 1 = a depth-N PrefetchLoader ring whose
+//    worker stages — and, for device runs, uploads — announced batches
+//    ahead of compute, at most N ahead of consumption) plus an
+//    optional per-batch hook the distributed trainer uses to
+//    drain/charge exposed fetch seconds.
 //  * EpochEngine::train_epoch / eval_epoch run the actual loops.  A
 //    sync_gradients hook between backward and step makes the same loop
 //    serve DDP replicas; an on_train_step hook serves the
@@ -43,9 +45,13 @@ namespace pgti::core {
 /// second code path.
 class BatchPipeline {
  public:
-  /// `on_batch` (optional) runs on the consumer thread once per
-  /// delivered batch, right after delivery — distributed runs drain
-  /// the provider's exposed modeled fetch seconds there.
+  /// `prefetch_depth` must equal loader.prefetch_lookahead() (throws
+  /// std::invalid_argument otherwise), so every call site states the
+  /// depth it runs and cannot silently disagree with the loader's
+  /// announcement lookahead.  `on_batch` (optional) runs
+  /// on the consumer thread once per delivered batch, right after
+  /// delivery — distributed runs drain the provider's exposed modeled
+  /// fetch seconds there.
   BatchPipeline(data::DataLoader& loader, int prefetch_depth,
                 std::function<void()> on_batch = {});
 

@@ -1,20 +1,17 @@
 #include "data/prefetch.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace pgti::data {
 
-PrefetchLoader::PrefetchLoader(DataLoader& loader, int depth)
-    : inner_(&loader),
-      slots_(static_cast<std::size_t>(std::max(depth, 1) + 1)),
-      slot_full_(slots_.size(), 0) {
-  if (loader.prefetch_lookahead() > 0) {
-    // The worker outruns deliveries by design, so stage-time
-    // announcing would collapse the lookahead window; pace
-    // announcements by delivery instead (one per consumed batch).
-    loader.set_paced_announcements(true);
-    paced_ = true;
+PrefetchLoader::PrefetchLoader(DataLoader& loader) : inner_(&loader) {
+  if (loader.prefetch_lookahead() < 1) {
+    throw std::invalid_argument(
+        "PrefetchLoader: the loader's prefetch_lookahead (the ring depth) must be >= 1");
   }
+  slots_.resize(static_cast<std::size_t>(loader.prefetch_lookahead()) + 1);
+  slot_full_.assign(slots_.size(), 0);
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -91,18 +88,15 @@ bool PrefetchLoader::next(Batch& out) {
   out.staged_at = slot.staged_at;
   in_use_idx_ = consume_idx_;  // stays full until the next call
   consume_idx_ = advance(consume_idx_);
-  if (paced_) {
-    // Delivery k announces batch k+depth (consumer-side, so the
-    // announcement lands in batch k's compute window, not the
-    // epoch-start burst), THEN raises the worker's staging budget —
-    // in that order, so the worker can never stage an unannounced
-    // batch.
-    lock.unlock();
-    inner_->announce_next_batch();
-    lock.lock();
-    ++announce_budget_;
-    cv_.notify_all();
-  }
+  // Delivery k announces batch k+depth (consumer-side, so the
+  // announcement lands in batch k's compute window, not the epoch-start
+  // burst), THEN raises the worker's staging budget — in that order, so
+  // the worker can never stage an unannounced batch.
+  lock.unlock();
+  inner_->announce_next_batch();
+  lock.lock();
+  ++announce_budget_;
+  cv_.notify_all();
   return true;
 }
 
@@ -145,7 +139,7 @@ void PrefetchLoader::worker_loop() {
       inner_->set_max_batches(cap);
       inner_->start_epoch(epoch);
       for (;;) {
-        if (paced_) {
+        {
           // Budget gate: batch k may stage only once k < depth +
           // deliveries, i.e. once it has been announced.  Always
           // deadlock-free at the tail: after the final delivery the

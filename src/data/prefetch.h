@@ -2,13 +2,16 @@
 // distribution strategies ... and implement prefetching").
 //
 // A PrefetchLoader drives an inner DataLoader on a worker thread and
-// buffers up to `depth` assembled batches in a ring of depth+1 slots,
-// overlapping batch staging (and any modeled PCIe/store traffic it
-// triggers) with model compute.  depth = 1 is classic double
-// buffering; deeper rings let the worker run further ahead, which —
-// combined with the loader's own depth-N lookahead announcements —
-// pushes the exposed share of modeled fetch time toward zero.  The
-// batch sequence is identical to the inner loader's at every depth.
+// buffers assembled batches in a ring of depth+1 slots, overlapping
+// batch staging (and any modeled PCIe/store traffic it triggers) with
+// model compute.  The depth is the inner loader's prefetch_lookahead
+// N >= 1, and the two meanings of "lookahead N" are one protocol:
+// start_epoch announces batches 0..N-1, delivery k announces batch
+// k+N, and the worker stages a batch only once it has been announced.
+// So at most N batches are ever in flight ahead of consumption — N = 1
+// is classic double buffering, deeper rings push the exposed share of
+// modeled fetch time toward zero.  The batch sequence is identical to
+// a synchronous loader's at every depth.
 #pragma once
 
 #include <condition_variable>
@@ -25,10 +28,10 @@ namespace pgti::data {
 class PrefetchLoader {
  public:
   /// Takes ownership semantics over loader's iteration: callers must
-  /// not call loader.next() directly while prefetching.  `depth` >= 1
-  /// is the number of assembled batches the worker may run ahead of
-  /// the consumer (ring of depth+1 slots).
-  explicit PrefetchLoader(DataLoader& loader, int depth = 1);
+  /// not call loader.next() directly while prefetching.  The depth is
+  /// loader.prefetch_lookahead(); throws std::invalid_argument when it
+  /// is below 1 (a lookahead-0 loader is driven synchronously).
+  explicit PrefetchLoader(DataLoader& loader);
   ~PrefetchLoader();
 
   PrefetchLoader(const PrefetchLoader&) = delete;
@@ -91,12 +94,8 @@ class PrefetchLoader {
   int in_use_idx_ = -1;  ///< slot handed to the caller, pinned until next()
   int epoch_ = 0;
   std::int64_t max_batches_ = -1;  ///< forwarded to the inner loader (-1 = none)
-  // Consumer-paced announcements (on when the inner loader announces
-  // lookahead): the worker may stage batch k only once k < depth +
-  // deliveries, so at most `depth` announced batches are ever in
-  // flight ahead of consumption — the depth sweep stays a real sweep
-  // instead of saturating at the epoch-start announcement burst.
-  bool paced_ = false;
+  // Budget gate: the worker may stage batch k only once k < depth +
+  // deliveries, i.e. once batch k has been announced.
   std::int64_t produced_ = 0;         ///< batches the worker has staged
   std::int64_t announce_budget_ = 0;  ///< depth + deliveries so far
   std::exception_ptr worker_error_;  ///< inner-loader throw, rethrown in next()

@@ -149,9 +149,6 @@ class DistStore final : public data::SnapshotProvider {
   /// registration is not synchronized against in-flight accesses).
   int add_reader();
 
-  /// Ranks registered via add_reader() so far.
-  int reader_ranks() const noexcept { return reader_ranks_; }
-
   /// Owning rank of a snapshot; throws std::out_of_range for ids
   /// outside [0, num_snapshots).
   int owner(std::int64_t snapshot) const;
@@ -171,7 +168,6 @@ class DistStore final : public data::SnapshotProvider {
 
   std::int64_t snapshot_bytes() const noexcept { return snapshot_bytes_; }
   int world() const noexcept { return world_; }
-  bool consolidates_requests() const noexcept { return consolidate_requests_; }
   bool materialized() const noexcept { return dataset_.has_value(); }
   bool async_prefetch() const noexcept { return async_prefetch_; }
   std::int64_t cache_capacity() const noexcept { return cache_capacity_; }

@@ -92,12 +92,4 @@ WorkspaceCache::Stats WorkspaceCache::stats() const {
   return s;
 }
 
-void WorkspaceCache::trim() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& e : entries_) {
-    for (float* p : e->free) delete[] p;
-    e->free.clear();
-  }
-}
-
 }  // namespace pgti::runtime

@@ -80,9 +80,6 @@ class WorkspaceCache {
   };
   Stats stats() const;
 
-  /// Frees every idle cached buffer (keys persist).  For tests.
-  void trim();
-
  private:
   WorkspaceCache() = default;
 

@@ -360,6 +360,7 @@ TEST(ArenaStaging, PrefetchWorkerStagingAllocFreeAfterPlanningEpoch) {
   opt.batch_size = 8;
   opt.drop_last = false;  // tail batch: a second staging shape per epoch
   opt.sampler = data::SamplerOptions{data::ShuffleMode::kGlobal, 0, 1, 5, 8};
+  opt.prefetch_lookahead = 2;  // the ring depth
 
   const auto run_epochs = [&](data::PrefetchLoader& pf, int first, int count) {
     data::Batch b;
@@ -373,7 +374,7 @@ TEST(ArenaStaging, PrefetchWorkerStagingAllocFreeAfterPlanningEpoch) {
   std::uint64_t steady_with_arena = 0;
   {
     data::DataLoader inner(source, opt, 0, 100);  // 100 % 8 != 0 -> real tail
-    data::PrefetchLoader pf(inner, /*depth=*/2);
+    data::PrefetchLoader pf(inner);
     run_epochs(pf, 0, 2);  // planning epoch + one full recycle pass
     const std::uint64_t h0 = MemoryTracker::instance().heap_allocs_total();
     run_epochs(pf, 2, 3);
@@ -389,7 +390,7 @@ TEST(ArenaStaging, PrefetchWorkerStagingAllocFreeAfterPlanningEpoch) {
   {
     ArenaToggleGuard guard(false);
     data::DataLoader inner(source, opt, 0, 100);
-    data::PrefetchLoader pf(inner, /*depth=*/2);
+    data::PrefetchLoader pf(inner);
     run_epochs(pf, 0, 2);
     const std::uint64_t h0 = MemoryTracker::instance().heap_allocs_total();
     run_epochs(pf, 2, 3);

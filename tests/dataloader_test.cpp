@@ -257,6 +257,27 @@ TEST_F(LoaderTest, BadRangeRejected) {
                std::out_of_range);
 }
 
+TEST_F(LoaderTest, NonPositiveBatchSizeRejected) {
+  // batch_size 0 used to divide by zero in batches_per_epoch() and,
+  // with lookahead on, spin start_epoch forever on a cursor stepping
+  // by 0.
+  LoaderOptions opt;
+  opt.batch_size = 0;
+  EXPECT_THROW(DataLoader(*source_, opt, 0, 100), std::invalid_argument);
+  opt.prefetch_lookahead = 1;
+  EXPECT_THROW(DataLoader(*source_, opt, 0, 100), std::invalid_argument);
+  opt.batch_size = -4;
+  EXPECT_THROW(DataLoader(*source_, opt, 0, 100), std::invalid_argument);
+}
+
+TEST_F(LoaderTest, NegativeLookaheadRejected) {
+  // A negative lookahead used to be silently treated as 0.
+  LoaderOptions opt;
+  opt.batch_size = 8;
+  opt.prefetch_lookahead = -1;
+  EXPECT_THROW(DataLoader(*source_, opt, 0, 100), std::invalid_argument);
+}
+
 TEST_F(LoaderTest, SamplesPerEpochSplitsEvenly) {
   LoaderOptions opt;
   opt.batch_size = 8;

@@ -273,7 +273,9 @@ TEST(PrefetchStress, AbortRestartStormKeepsSequencesExact) {
     while (plain.next(b)) expected[static_cast<std::size_t>(epoch)].push_back(b.indices);
   }
 
-  data::DataLoader inner(source, opt, 0, 200);
+  data::LoaderOptions pf_opt = opt;
+  pf_opt.prefetch_lookahead = 1;
+  data::DataLoader inner(source, pf_opt, 0, 200);
   data::PrefetchLoader prefetch(inner);
   data::Batch b;
   for (int iter = 0; iter < 60; ++iter) {
@@ -331,6 +333,7 @@ TEST(PrefetchStress, WorkerExceptionSurfacesOnConsumerAndRestartRecovers) {
   data::LoaderOptions opt;
   opt.batch_size = 8;
   opt.sampler = data::SamplerOptions{data::ShuffleMode::kNone, 0, 1, 1, 8};
+  opt.prefetch_lookahead = 1;
   data::DataLoader inner(source, opt, 0, 48);
   data::PrefetchLoader prefetch(inner);
   prefetch.start_epoch(0);
@@ -359,6 +362,7 @@ TEST(PrefetchStress, ProductionCapGoesQuiescentAndRedelivers) {
   data::LoaderOptions opt;
   opt.batch_size = 16;
   opt.sampler = data::SamplerOptions{data::ShuffleMode::kGlobal, 0, 1, 3, 16};
+  opt.prefetch_lookahead = 1;
   data::DataLoader inner(source, opt, 0, 100);
   data::PrefetchLoader prefetch(inner);
   data::Batch b;
@@ -667,7 +671,8 @@ TEST(DepthNPrefetch, TruncatedEpochReconciliationAtDepthFour) {
   opt.prefetch_lookahead = 4;
   const std::int64_t n = store.num_snapshots();
   data::DataLoader inner(source, opt, 0, n);
-  data::PrefetchLoader prefetch(inner, /*depth=*/4);
+  data::PrefetchLoader prefetch(inner);
+  ASSERT_EQ(prefetch.depth(), 4);
 
   data::Batch b;
   for (int epoch = 0; epoch < 3; ++epoch) {

@@ -7,9 +7,17 @@
 //    device run hides part of the modeled PCIe leg
 //    (exposed_transfer_seconds <= modeled_transfer_seconds);
 //  * depth-N PrefetchLoader abort/restart stress — a TSan/ASan target:
-//    this suite runs under both sanitizer passes via scripts/check.sh.
+//    this suite runs under both sanitizer passes via scripts/check.sh;
+//  * the one announcement protocol a lookahead-N loader runs under its
+//    depth-N PrefetchLoader: no snapshot is read before its batch is
+//    announced, and at every delivery at most N announced batches are
+//    undelivered — through mid-epoch aborts and restarts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/epoch_engine.h"
@@ -104,6 +112,131 @@ TEST(BatchPipeline, PerBatchHookFiresOncePerDeliveredBatch) {
   EXPECT_EQ(fired, 5);
 }
 
+TEST(BatchPipeline, RejectsDepthThatDiffersFromLookahead) {
+  data::DatasetSpec spec = data::spec_for(data::DatasetKind::kPemsBay).scaled(64);
+  spec.horizon = 4;
+  SensorNetwork net = data::network_for(spec);
+  Tensor raw = data::generate_signal(spec, net, 7);
+  data::IndexDataset ds(raw, spec);
+  data::IndexSource source(ds);
+  data::LoaderOptions opt;
+  opt.batch_size = 8;
+  data::DataLoader sync_loader(source, opt, 0, 64);
+  EXPECT_THROW((BatchPipeline{sync_loader, 2}), std::invalid_argument);
+  opt.prefetch_lookahead = 2;
+  data::DataLoader lookahead_loader(source, opt, 0, 64);
+  EXPECT_THROW((BatchPipeline{lookahead_loader, 0}), std::invalid_argument);
+  EXPECT_THROW((BatchPipeline{lookahead_loader, 1}), std::invalid_argument);
+  EXPECT_THROW((BatchPipeline{lookahead_loader, 4}), std::invalid_argument);
+  EXPECT_NO_THROW((BatchPipeline{lookahead_loader, 2}));
+}
+
+// ------------------------------------------------- announcement protocol
+
+TEST(PrefetchProtocol, LookaheadZeroLoaderRejected) {
+  data::DatasetSpec spec = data::spec_for(data::DatasetKind::kPemsBay).scaled(64);
+  spec.horizon = 4;
+  SensorNetwork net = data::network_for(spec);
+  Tensor raw = data::generate_signal(spec, net, 7);
+  data::IndexDataset ds(raw, spec);
+  data::IndexSource source(ds);
+  data::LoaderOptions opt;
+  opt.batch_size = 8;
+  data::DataLoader sync_loader(source, opt, 0, 64);
+  EXPECT_THROW(data::PrefetchLoader{sync_loader}, std::invalid_argument);
+}
+
+// Wraps a local dataset and records the announcement protocol as the
+// source sees it: the ids announced since the last abandon, how many
+// batches were announced, and every get() that reached an id before
+// its prefetch_batch.  Announcements arrive from the consumer thread
+// (per delivery) and the worker (at start_epoch); reads come from the
+// worker — hence the lock.
+class RecordingSource final : public data::SnapshotSource {
+ public:
+  explicit RecordingSource(const data::IndexDataset& d) : d_(&d) {}
+  std::pair<Tensor, Tensor> get(std::int64_t i) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (announced_ids_.count(i) == 0) ++unannounced_gets_;
+    }
+    return d_->get(i);
+  }
+  void prefetch_batch(const std::vector<std::int64_t>& ids) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    announced_ids_.insert(ids.begin(), ids.end());
+    ++announced_batches_;
+  }
+  void abandon_prefetches() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    announced_ids_.clear();
+    announced_batches_ = 0;
+  }
+  std::int64_t announced_batches() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return announced_batches_;
+  }
+  std::int64_t unannounced_gets() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return unannounced_gets_;
+  }
+  std::int64_t num_snapshots() const override { return d_->num_snapshots(); }
+  MemorySpaceId space() const override { return d_->space(); }
+  const data::StandardScaler& scaler() const override { return d_->scaler(); }
+  const data::SplitRanges& splits() const override { return d_->splits(); }
+  const data::DatasetSpec& spec() const override { return d_->spec(); }
+
+ private:
+  const data::IndexDataset* d_;
+  mutable std::mutex mu_;
+  mutable std::set<std::int64_t> announced_ids_;
+  mutable std::int64_t announced_batches_ = 0;
+  mutable std::int64_t unannounced_gets_ = 0;
+};
+
+TEST(PrefetchProtocol, StagesOnlyAnnouncedBatchesAndKeepsDepthInFlight) {
+  data::DatasetSpec spec = data::spec_for(data::DatasetKind::kPemsBay).scaled(64);
+  spec.horizon = 4;
+  SensorNetwork net = data::network_for(spec);
+  Tensor raw = data::generate_signal(spec, net, 9);
+  data::IndexDataset ds(raw, spec);
+  RecordingSource source(ds);
+
+  for (int depth : {1, 2, 4}) {
+    data::LoaderOptions opt;
+    opt.batch_size = 8;
+    opt.sampler = data::SamplerOptions{data::ShuffleMode::kGlobal, 0, 1, 5, 8};
+    opt.prefetch_lookahead = depth;
+    data::DataLoader inner(source, opt, 0, 200);
+    const std::int64_t batches = inner.batches_per_epoch();
+    data::PrefetchLoader prefetch(inner);
+    data::Batch b;
+    // Partial epochs abandoned mid-flight (some under a production
+    // cap), then one full epoch.
+    for (int iter = 0; iter <= 24; ++iter) {
+      const bool full = iter == 24;
+      const std::int64_t cap = !full && iter % 4 == 3 ? 3 : -1;
+      const std::int64_t available = cap < 0 ? batches : cap;
+      const std::int64_t consume =
+          full ? available : std::min<std::int64_t>(iter % 7, available);
+      prefetch.start_epoch(iter % 3, cap);
+      for (std::int64_t k = 0; k < consume; ++k) {
+        ASSERT_TRUE(prefetch.next(b)) << "depth " << depth << " iter " << iter;
+        const std::int64_t in_flight = source.announced_batches() - (k + 1);
+        EXPECT_LE(in_flight, depth) << "depth " << depth << " iter " << iter << " k " << k;
+        // The announcement front never lags either: delivery k has
+        // announced exactly through batch k+depth (or the epoch's end).
+        EXPECT_EQ(source.announced_batches(), std::min(k + 1 + depth, available))
+            << "depth " << depth << " iter " << iter << " k " << k;
+      }
+      if (full) {
+        EXPECT_FALSE(prefetch.next(b)) << "depth " << depth;
+      }
+    }
+    EXPECT_EQ(source.unannounced_gets(), 0) << "depth " << depth;
+  }
+}
+
 // ------------------------------------------------- Trainer depth sweep
 
 TEST(EngineDepthSweep, IndexLossesBitIdenticalAcrossDepths) {
@@ -188,8 +321,10 @@ TEST(DepthNPrefetchStress, AbortRestartStormKeepsSequencesExactAtDepth3) {
     while (plain.next(b)) expected[static_cast<std::size_t>(epoch)].push_back(b.indices);
   }
 
-  data::DataLoader inner(source, opt, 0, 200);
-  data::PrefetchLoader prefetch(inner, /*depth=*/3);
+  data::LoaderOptions pf_opt = opt;
+  pf_opt.prefetch_lookahead = 3;
+  data::DataLoader inner(source, pf_opt, 0, 200);
+  data::PrefetchLoader prefetch(inner);
   ASSERT_EQ(prefetch.depth(), 3);
   data::Batch b;
   for (int iter = 0; iter < 60; ++iter) {

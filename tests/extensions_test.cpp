@@ -190,7 +190,9 @@ TEST(Prefetch, SameBatchSequenceAsInnerLoader) {
   data::Batch b;
   while (plain.next(b)) expected.push_back(b.indices);
 
-  data::DataLoader inner(source, opt, 0, 200);
+  data::LoaderOptions pf_opt = opt;
+  pf_opt.prefetch_lookahead = 1;
+  data::DataLoader inner(source, pf_opt, 0, 200);
   data::PrefetchLoader prefetch(inner);
   prefetch.start_epoch(2);
   std::size_t i = 0;
@@ -212,6 +214,7 @@ TEST(Prefetch, SurvivesMultipleEpochs) {
   data::LoaderOptions opt;
   opt.batch_size = 16;
   opt.sampler = data::SamplerOptions{data::ShuffleMode::kGlobal, 0, 1, 3, 16};
+  opt.prefetch_lookahead = 1;
   data::DataLoader inner(source, opt, 0, 100);
   data::PrefetchLoader prefetch(inner);
   data::Batch b;
@@ -233,6 +236,7 @@ TEST(Prefetch, BatchContentsMatchSnapshots) {
   data::LoaderOptions opt;
   opt.batch_size = 4;
   opt.sampler = data::SamplerOptions{data::ShuffleMode::kNone, 0, 1, 1, 4};
+  opt.prefetch_lookahead = 1;
   data::DataLoader inner(source, opt, 0, 40);
   data::PrefetchLoader prefetch(inner);
   prefetch.start_epoch(0);
