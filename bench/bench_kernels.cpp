@@ -481,6 +481,38 @@ void run_kernel_claims() {
   }
 
   {
+    // DCGRU cell GEMMs at the train-index shapes (batch 64 x 174 nodes,
+    // 2 diffusion steps over 2 supports: K = 5 x (2 + 32) = 170).  The
+    // gate GEMM is one full 64-wide panel per row block; the H = 32
+    // candidate runs on a 32-wide edge panel with the tanh epilogue, so
+    // it should cost about half the gate GEMM, not more than it
+    // (DESIGN.md §14).
+    const std::int64_t m = 11136, kc = 170;
+    Rng rng(8);
+    Tensor a = Tensor::randn({m, kc}, rng);
+    Tensor w_gate = Tensor::randn({kc, 64}, rng);
+    Tensor b_gate = Tensor::randn({64}, rng);
+    Tensor w_cand = Tensor::randn({kc, 32}, rng);
+    Tensor b_cand = Tensor::randn({32}, rng);
+    const auto gemm_time = [&](const Tensor& w, const Tensor& b, ops::Act act) {
+      return time_of(
+          [&] { benchmark::DoNotOptimize(ops::matmul_bias_act(a, w, b, act).data()); });
+    };
+    const double t_gate = gemm_time(w_gate, b_gate, ops::Act::kSigmoid);
+    const double t_cand = gemm_time(w_cand, b_cand, ops::Act::kTanh);
+    const double t_ident = gemm_time(w_cand, b_cand, ops::Act::kIdentity);
+    std::printf(
+        "DCGRU GEMMs M=%lld K=%lld: gate N=64 sigmoid %.3f ms, candidate N=32 tanh %.3f ms "
+        "(%.2fx), N=32 identity %.3f ms (tanh +%.0f%%)\n",
+        static_cast<long long>(m), static_cast<long long>(kc), t_gate * 1e3, t_cand * 1e3,
+        t_cand / t_gate, t_ident * 1e3, (t_cand / t_ident - 1.0) * 100.0);
+    bench::verdict(t_cand <= 0.7 * t_gate,
+                   "N=32 candidate GEMM <= 0.7x the N=64 gate GEMM time at M=11136, K=170");
+    bench::verdict(t_cand <= 1.3 * t_ident,
+                   "tanh epilogue adds <= 30% over the identity epilogue at N=32");
+  }
+
+  {
     // Steady-state allocation freedom (DESIGN.md §16): after the
     // arena's first-step planning pass, a full DCGRU train step makes
     // zero heap allocations — every tensor, tape node buffer, and

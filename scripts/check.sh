@@ -36,6 +36,9 @@
 #                  thread publishes copy-on-publish snapshots), and
 #                  extensions_test (PrefetchLoader sequence, multi-epoch
 #                  and batch-content checks on the gated worker).
+#                  Set to "undefined" to build <build-dir>-ubsan with
+#                  UBSan (float-cast-overflow included, every finding
+#                  fatal) and run every tier-1 suite under it.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -79,16 +82,20 @@ cmake --build "${build_dir}-perfbench" --target perfbench -j "${jobs}"
 
 sanitize="${PGTI_SANITIZE:-}"
 if [ -n "${sanitize}" ]; then
+  concurrency_suites='^(dist_|epoch_engine|grad_overlap|kernel_fusion|arena|serve_|extensions)'
   case "${sanitize}" in
-    thread)  san_dir="${build_dir}-tsan" ;;
-    address) san_dir="${build_dir}-asan" ;;
-    *) echo "PGTI_SANITIZE must be 'thread' or 'address', got '${sanitize}'" >&2
+    thread)    san_dir="${build_dir}-tsan";  san_filter=(-R "${concurrency_suites}")
+               san_what="dist_* + epoch_engine + grad_overlap + kernel_fusion + arena + serve + extensions suites" ;;
+    address)   san_dir="${build_dir}-asan";  san_filter=(-R "${concurrency_suites}")
+               san_what="dist_* + epoch_engine + grad_overlap + kernel_fusion + arena + serve + extensions suites" ;;
+    undefined) san_dir="${build_dir}-ubsan"; san_filter=()
+               san_what="every tier-1 suite" ;;
+    *) echo "PGTI_SANITIZE must be 'thread', 'address' or 'undefined', got '${sanitize}'" >&2
        exit 1 ;;
   esac
   echo
-  echo "== ${sanitize} sanitizer pass (dist_* + epoch_engine + grad_overlap + kernel_fusion + arena + serve + extensions suites) in ${san_dir} =="
+  echo "== ${sanitize} sanitizer pass (${san_what}) in ${san_dir} =="
   cmake -B "${san_dir}" -S "${repo_root}" -DPGTI_SANITIZE="${sanitize}" -DPGTI_WERROR=ON
   cmake --build "${san_dir}" -j "${jobs}"
-  ctest --test-dir "${san_dir}" --output-on-failure -j "${jobs}" -L tier1 \
-        -R '^(dist_|epoch_engine|grad_overlap|kernel_fusion|arena|serve_|extensions)'
+  ctest --test-dir "${san_dir}" --output-on-failure -j "${jobs}" -L tier1 "${san_filter[@]}"
 fi

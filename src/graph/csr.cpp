@@ -137,11 +137,7 @@ void Csr::spmm_rows(const float* x, float* y, std::int64_t c, std::int64_t r_lo,
       const float* xrow = x + col_idx_[static_cast<std::size_t>(k)] * c;
       for (std::int64_t j = 0; j < c; ++j) yrow[j] += v * xrow[j];
     }
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < c; ++j) yrow[j] = ops::act_apply(act, yrow[j] + bias[j]);
-    } else if (act != ops::Act::kIdentity) {
-      for (std::int64_t j = 0; j < c; ++j) yrow[j] = ops::act_apply(act, yrow[j]);
-    }
+    if (bias != nullptr || act != ops::Act::kIdentity) ops::bias_act_row(yrow, yrow, c, bias, act);
   }
 }
 

@@ -15,10 +15,12 @@ constexpr std::int64_t kGrain = 16384;  // min elements per parallel chunk
 // Register/cache blocking for the matmul family.  kMR rows of A are
 // held against one streamed row of B (4x fewer B loads than the naive
 // kernel) and accumulated into a kMR x kNR panel that lives in
-// registers; the j-panel keeps the B working set cache-resident.  The
-// accumulation per output element remains strictly k-ascending, so the
-// blocked kernels are bit-identical to the naive reference regardless
-// of blocking factors, thread count, or SIMD width.
+// registers; the j-panel keeps the B working set cache-resident.
+// Columns past the last full panel take 32/16/8-wide panels of the
+// same shape, then single columns.  The accumulation per output
+// element remains strictly k-ascending, so the blocked kernels are
+// bit-identical to the naive reference regardless of blocking factors,
+// thread count, or SIMD width.
 constexpr std::int64_t kMR = 4;   // register-block rows
 constexpr std::int64_t kNR = 64;  // j-panel width (floats)
 
@@ -95,53 +97,97 @@ std::pair<std::int64_t, std::int64_t> as_matrix(const Tensor& t, const char* wha
   return {t.numel() / (c == 0 ? 1 : c), c};
 }
 
-// Applies the optional bias/activation epilogue to a freshly computed
-// row segment of C (the store step of the blocked kernels).
-inline void store_epilogue(const float* acc, float* crow, std::int64_t nr,
-                           const float* bias, Act act) {
+// bias_act_row with the activation a compile-time constant, so the
+// element loop vectorizes.
+template <Act A>
+void bias_act_row_as(const float* in, float* out, std::int64_t n, const float* bias) {
   if (bias != nullptr) {
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] = act_apply(act, acc[j] + bias[j]);
-  } else if (act != Act::kIdentity) {
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] = act_apply(act, acc[j]);
+    for (std::int64_t j = 0; j < n; ++j) out[j] = act_apply(A, in[j] + bias[j]);
   } else {
-    std::copy(acc, acc + nr, crow);
+    for (std::int64_t j = 0; j < n; ++j) out[j] = act_apply(A, in[j]);
   }
+}
+
+}  // namespace
+
+void bias_act_row(const float* in, float* out, std::int64_t n, const float* bias, Act act) {
+  switch (act) {
+    case Act::kIdentity:
+      return bias_act_row_as<Act::kIdentity>(in, out, n, bias);
+    case Act::kSigmoid:
+      return bias_act_row_as<Act::kSigmoid>(in, out, n, bias);
+    case Act::kTanh:
+      return bias_act_row_as<Act::kTanh>(in, out, n, bias);
+    case Act::kRelu:
+      return bias_act_row_as<Act::kRelu>(in, out, n, bias);
+  }
+}
+
+namespace {
+
+// One MR x W register block of C[M,N] = A * B[K,N] at rows [i0, i0+MR),
+// columns [j0, j0+W), then its store epilogue.  a_at(i, k) reads A's
+// element for output row i, so the same block serves A[M,K] (nn) and
+// A[K,M] (tn).  W is a compile-time width so narrow and edge panels run
+// at full vector width too; each element still accumulates strictly
+// k-ascending, whatever MR and W are.
+template <std::int64_t MR, std::int64_t W, typename AAt>
+inline void gemm_block(AAt a_at, const float* pb, float* pc, std::int64_t i0,
+                       std::int64_t j0, std::int64_t K, std::int64_t N, const float* bias,
+                       Act act) {
+  float acc[MR][W];
+  for (std::int64_t r = 0; r < MR; ++r) std::fill(acc[r], acc[r] + W, 0.0f);
+  // One B-row load feeds MR accumulator rows.
+  for (std::int64_t k = 0; k < K; ++k) {
+    const float* brow = pb + k * N + j0;
+    for (std::int64_t r = 0; r < MR; ++r) {
+      const float a = a_at(i0 + r, k);
+      for (std::int64_t j = 0; j < W; ++j) acc[r][j] += a * brow[j];
+    }
+  }
+  for (std::int64_t r = 0; r < MR; ++r) {
+    bias_act_row(acc[r], pc + (i0 + r) * N + j0, W, bias == nullptr ? nullptr : bias + j0, act);
+  }
+}
+
+// Rows [i0, i0+MR) of C across all N columns: full kNR panels, then at
+// most one 32-, 16- and 8-wide edge panel, then single columns.
+template <std::int64_t MR, typename AAt>
+void gemm_row_block(AAt a_at, const float* pb, float* pc, std::int64_t i0, std::int64_t K,
+                    std::int64_t N, const float* bias, Act act) {
+  std::int64_t j0 = 0;
+  for (; j0 + kNR <= N; j0 += kNR) gemm_block<MR, kNR>(a_at, pb, pc, i0, j0, K, N, bias, act);
+  if (N - j0 >= 32) {
+    gemm_block<MR, 32>(a_at, pb, pc, i0, j0, K, N, bias, act);
+    j0 += 32;
+  }
+  if (N - j0 >= 16) {
+    gemm_block<MR, 16>(a_at, pb, pc, i0, j0, K, N, bias, act);
+    j0 += 16;
+  }
+  if (N - j0 >= 8) {
+    gemm_block<MR, 8>(a_at, pb, pc, i0, j0, K, N, bias, act);
+    j0 += 8;
+  }
+  for (; j0 < N; ++j0) gemm_block<MR, 1>(a_at, pb, pc, i0, j0, K, N, bias, act);
+}
+
+// Rows [i_lo, i_hi) of C[M,N] with fused epilogue: kMR-row blocks, then
+// the ragged row tail one row at a time.
+template <typename AAt>
+void gemm_rows(AAt a_at, const float* pb, float* pc, std::int64_t i_lo, std::int64_t i_hi,
+               std::int64_t K, std::int64_t N, const float* bias, Act act) {
+  std::int64_t i0 = i_lo;
+  for (; i0 + kMR <= i_hi; i0 += kMR) gemm_row_block<kMR>(a_at, pb, pc, i0, K, N, bias, act);
+  for (; i0 < i_hi; ++i0) gemm_row_block<1>(a_at, pb, pc, i0, K, N, bias, act);
 }
 
 // Rows [i_lo, i_hi) of C[M,N] = A[M,K] * B[K,N] with fused epilogue.
 void gemm_nn_rows(const float* pa, const float* pb, float* pc, std::int64_t i_lo,
                   std::int64_t i_hi, std::int64_t K, std::int64_t N,
                   const float* bias, Act act) {
-  float acc[kMR][kNR];
-  for (std::int64_t i0 = i_lo; i0 < i_hi; i0 += kMR) {
-    const std::int64_t mr = std::min(kMR, i_hi - i0);
-    for (std::int64_t j0 = 0; j0 < N; j0 += kNR) {
-      const std::int64_t nr = std::min(kNR, N - j0);
-      for (std::int64_t r = 0; r < mr; ++r) std::fill(acc[r], acc[r] + nr, 0.0f);
-      if (mr == kMR && nr == kNR) {
-        // Full register block: one B-row load feeds kMR accumulator rows.
-        for (std::int64_t k = 0; k < K; ++k) {
-          const float* brow = pb + k * N + j0;
-          for (std::int64_t r = 0; r < kMR; ++r) {
-            const float a = pa[(i0 + r) * K + k];
-            for (std::int64_t j = 0; j < kNR; ++j) acc[r][j] += a * brow[j];
-          }
-        }
-      } else {
-        for (std::int64_t k = 0; k < K; ++k) {
-          const float* brow = pb + k * N + j0;
-          for (std::int64_t r = 0; r < mr; ++r) {
-            const float a = pa[(i0 + r) * K + k];
-            for (std::int64_t j = 0; j < nr; ++j) acc[r][j] += a * brow[j];
-          }
-        }
-      }
-      for (std::int64_t r = 0; r < mr; ++r) {
-        store_epilogue(acc[r], pc + (i0 + r) * N + j0, nr, bias == nullptr ? nullptr : bias + j0,
-                       act);
-      }
-    }
-  }
+  gemm_rows([pa, K](std::int64_t i, std::int64_t k) { return pa[i * K + k]; }, pb, pc, i_lo,
+            i_hi, K, N, bias, act);
 }
 
 // Parallel grain for row-partitioned gemm: enough rows per chunk to
@@ -248,17 +294,21 @@ void axpy_(float alpha, const Tensor& x, Tensor& y) {
 }
 
 void sigmoid_(Tensor& t) {
-  unary_inplace(t, "sigmoid_", [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+  unary_inplace(t, "sigmoid_", [](float x) { return act_apply(Act::kSigmoid, x); });
 }
 void tanh_(Tensor& t) {
-  unary_inplace(t, "tanh_", [](float x) { return std::tanh(x); });
+  unary_inplace(t, "tanh_", [](float x) { return act_apply(Act::kTanh, x); });
 }
 void relu_(Tensor& t) {
-  unary_inplace(t, "relu_", [](float x) { return x > 0.0f ? x : 0.0f; });
+  unary_inplace(t, "relu_", [](float x) { return act_apply(Act::kRelu, x); });
 }
 void apply_act_(Tensor& t, Act act) {
   if (act == Act::kIdentity) return;
-  unary_inplace(t, "apply_act_", [act](float x) { return act_apply(act, x); });
+  require_contiguous(t, "apply_act_");
+  float* pt = t.data();
+  parallel_for(0, t.numel(), kGrain, [&](std::int64_t lo, std::int64_t hi) {
+    bias_act_row(pt + lo, pt + lo, hi - lo, nullptr, act);
+  });
 }
 
 void add_into(const Tensor& a, const Tensor& b, Tensor& out) {
@@ -272,13 +322,13 @@ void mul_into(const Tensor& a, const Tensor& b, Tensor& out) {
 }
 
 Tensor sigmoid(const Tensor& t) {
-  return unary_op(t, "sigmoid", [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+  return unary_op(t, "sigmoid", [](float x) { return act_apply(Act::kSigmoid, x); });
 }
 Tensor tanh(const Tensor& t) {
-  return unary_op(t, "tanh", [](float x) { return std::tanh(x); });
+  return unary_op(t, "tanh", [](float x) { return act_apply(Act::kTanh, x); });
 }
 Tensor relu(const Tensor& t) {
-  return unary_op(t, "relu", [](float x) { return x > 0.0f ? x : 0.0f; });
+  return unary_op(t, "relu", [](float x) { return act_apply(Act::kRelu, x); });
 }
 Tensor exp(const Tensor& t) {
   return unary_op(t, "exp", [](float x) { return std::exp(x); });
@@ -394,40 +444,12 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = out.data();
-  // C[m, n] = sum_k A[k, m] * B[k, n].  Same register-blocked shape as
+  // C[m, n] = sum_k A[k, m] * B[k, n].  Same register-blocked kernel as
   // gemm_nn_rows; the kMR A operands for row k are contiguous in A's
   // row k, so the load is a plain 4-float read.
   parallel_for(0, M, gemm_grain(K, N), [&](std::int64_t lo, std::int64_t hi) {
-    float acc[kMR][kNR];
-    for (std::int64_t m0 = lo; m0 < hi; m0 += kMR) {
-      const std::int64_t mr = std::min(kMR, hi - m0);
-      for (std::int64_t j0 = 0; j0 < N; j0 += kNR) {
-        const std::int64_t nr = std::min(kNR, N - j0);
-        for (std::int64_t r = 0; r < mr; ++r) std::fill(acc[r], acc[r] + nr, 0.0f);
-        if (mr == kMR && nr == kNR) {
-          for (std::int64_t k = 0; k < K; ++k) {
-            const float* a4 = pa + k * M + m0;
-            const float* brow = pb + k * N + j0;
-            for (std::int64_t r = 0; r < kMR; ++r) {
-              const float akm = a4[r];
-              for (std::int64_t j = 0; j < kNR; ++j) acc[r][j] += akm * brow[j];
-            }
-          }
-        } else {
-          for (std::int64_t k = 0; k < K; ++k) {
-            const float* a4 = pa + k * M + m0;
-            const float* brow = pb + k * N + j0;
-            for (std::int64_t r = 0; r < mr; ++r) {
-              const float akm = a4[r];
-              for (std::int64_t j = 0; j < nr; ++j) acc[r][j] += akm * brow[j];
-            }
-          }
-        }
-        for (std::int64_t r = 0; r < mr; ++r) {
-          std::copy(acc[r], acc[r] + nr, pc + (m0 + r) * N + j0);
-        }
-      }
-    }
+    gemm_rows([pa, M](std::int64_t m, std::int64_t k) { return pa[k * M + m]; }, pb, pc, lo,
+              hi, K, N, nullptr, Act::kIdentity);
   });
   return out;
 }
@@ -618,9 +640,9 @@ void gru_gates(const Tensor& pre, const Tensor& h, Tensor& r, Tensor& u, Tensor&
                    const float* prow = pp + i * 2 * hidden;
                    const std::int64_t off = i * hidden;
                    for (std::int64_t j = 0; j < hidden; ++j) {
-                     const float rv = 1.0f / (1.0f + std::exp(-prow[j]));
+                     const float rv = act_apply(Act::kSigmoid, prow[j]);
                      pr[off + j] = rv;
-                     pu[off + j] = 1.0f / (1.0f + std::exp(-prow[hidden + j]));
+                     pu[off + j] = act_apply(Act::kSigmoid, prow[hidden + j]);
                      prh[off + j] = rv * ph[off + j];
                    }
                  }

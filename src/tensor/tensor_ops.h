@@ -15,8 +15,10 @@
 // prefetch depths.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -26,6 +28,74 @@ namespace pgti::ops {
 /// Activation applied by the fused matmul/SpMM epilogues.
 enum class Act : std::uint8_t { kIdentity, kSigmoid, kTanh, kRelu };
 
+namespace detail {
+
+/// Bit-casts between float and its IEEE-754 pattern.
+inline std::uint32_t float_bits(float x) {
+  std::uint32_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+inline float bits_float(std::uint32_t b) {
+  float x;
+  std::memcpy(&x, &b, sizeof x);
+  return x;
+}
+
+/// e^x for x in [-20, 0] (the only range tanh_f feeds it).  Cephes
+/// expf: n = floor(x*log2(e) + 1/2), r = x - n*ln2 in two parts, a
+/// degree-6 polynomial for e^r, then the 2^n scale built directly as
+/// an exponent field.  The truncating cast sees |t| < 29, and the
+/// floor is a compare-and-subtract rather than std::floor, which does
+/// not vectorize without -fno-trapping-math.
+inline float exp_nonpositive(float x) {
+  const float t = x * 1.44269504088896341f + 0.5f;
+  std::int32_t n = static_cast<std::int32_t>(t);
+  n -= static_cast<float>(n) > t ? 1 : 0;
+  const float fn = static_cast<float>(n);
+  float r = x - fn * 0.693359375f;
+  r = r - fn * -2.12194440e-4f;
+  float p = 1.9875691500e-4f;
+  p = p * r + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  const float er = p * (r * r) + r + 1.0f;
+  return er * bits_float(static_cast<std::uint32_t>(n + 127) << 23);
+}
+
+}  // namespace detail
+
+/// tanh in single precision, within 2 ulp of the double-precision
+/// tanh (DESIGN.md §14).  Branch-free and inline so every loop that
+/// applies it vectorizes: |x| < 0.625 takes the Cephes odd minimax
+/// polynomial, larger |x| takes 1 - 2e/(1+e) with e = exp(-2|x|); both
+/// are computed and blended bitwise (a ternary would be turned back
+/// into a branch), and the sign is restored last so -0 stays -0.
+/// NaN stays NaN (it takes the polynomial), +-inf gives +-1.
+inline float tanh_f(float x) {
+  const float a = std::fabs(x);
+  const float s = a * a;
+  float p = -5.70498872745e-3f;
+  p = p * s + 2.06390887954e-2f;
+  p = p * s - 5.37397155531e-2f;
+  p = p * s + 1.33314422036e-1f;
+  p = p * s - 3.33332819422e-1f;
+  const float small = p * s * a + a;
+  // tanh rounds to 1 above ~9.02.  Clamping the non-negative pattern
+  // as an integer also sends +inf and NaN to 10, so the exp never sees
+  // them, and an integer min is not split into a branch the way a
+  // float compare is.
+  const float ac = detail::bits_float(std::min(detail::float_bits(a), 0x41200000u));  // 10.0f
+  const float e = detail::exp_nonpositive(-2.0f * ac);
+  const float large = 1.0f - 2.0f * e / (1.0f + e);
+  const std::uint32_t take_large = 0u - static_cast<std::uint32_t>(a >= 0.625f);
+  const std::uint32_t blended = (detail::float_bits(large) & take_large) |
+                                (detail::float_bits(small) & ~take_large);
+  return std::copysign(detail::bits_float(blended), x);
+}
+
 /// Scalar activation — the single definition every fused kernel and its
 /// unfused counterpart share, so fused/unfused results are bit-identical.
 inline float act_apply(Act act, float x) {
@@ -33,7 +103,7 @@ inline float act_apply(Act act, float x) {
     case Act::kSigmoid:
       return 1.0f / (1.0f + std::exp(-x));
     case Act::kTanh:
-      return std::tanh(x);
+      return tanh_f(x);
     case Act::kRelu:
       return x > 0.0f ? x : 0.0f;
     case Act::kIdentity:
@@ -41,6 +111,12 @@ inline float act_apply(Act act, float x) {
   }
   return x;
 }
+
+/// out[j] = act(in[j] + bias[j]) for j < n (no bias add when bias is
+/// null); in may alias out.  The store epilogue of the fused GEMM and
+/// SpMM kernels: it dispatches on act once per row, so the element loop
+/// vectorizes.
+void bias_act_row(const float* in, float* out, std::int64_t n, const float* bias, Act act);
 
 // --- elementwise binary (same shape) ---------------------------------
 Tensor add(const Tensor& a, const Tensor& b);

@@ -49,16 +49,32 @@ Csr random_csr(std::int64_t n, std::uint64_t seed) {
 
 // ------------------------------------------------- blocked matmul family
 
+// Every panel width the blocked kernels dispatch — full 64-wide panels,
+// the 32/16/8-wide edge panels, single remainder columns — and every
+// row tail, against the naive kernels.
+constexpr std::int64_t kPanelNs[] = {1, 2, 7, 8, 15, 16, 31, 32, 33, 48, 63, 64, 65, 170};
+constexpr std::int64_t kPanelMs[] = {1, 3, 4, 5, 67};
+constexpr std::int64_t kPanelKs[] = {1, 34, 170};
+constexpr ops::Act kActs[] = {ops::Act::kIdentity, ops::Act::kSigmoid, ops::Act::kTanh,
+                              ops::Act::kRelu};
+
 TEST(BlockedMatmul, BitIdenticalToReference) {
-  // Shapes chosen to hit full 4x64 register blocks, ragged row tails,
-  // ragged j-panels, and tiny degenerate sizes.
-  const std::vector<Shape> cases = {
-      {64, 64}, {256, 256}, {5, 7}, {130, 37}, {1, 1}, {3, 200}, {67, 96}};
-  for (const Shape& mk : cases) {
-    for (std::int64_t n : {1LL, 9LL, 64LL, 130LL}) {
-      Tensor a = randn({mk[0], mk[1]}, 11 + static_cast<std::uint64_t>(n));
-      Tensor b = randn({mk[1], n}, 13 + static_cast<std::uint64_t>(n));
-      expect_bits(ops::matmul(a, b), ops::matmul_reference(a, b));
+  std::uint64_t seed = 1000;
+  for (std::int64_t n : kPanelNs) {
+    for (std::int64_t m : kPanelMs) {
+      for (std::int64_t k : kPanelKs) {
+        SCOPED_TRACE(::testing::Message() << "M=" << m << " K=" << k << " N=" << n);
+        Tensor a = randn({m, k}, ++seed);
+        Tensor b = randn({k, n}, ++seed);
+        Tensor bias = randn({n}, ++seed);
+        const Tensor ref = ops::matmul_reference(a, b);
+        expect_bits(ops::matmul(a, b), ref);
+        for (ops::Act act : kActs) {
+          Tensor unfused = ops::add_bias(ref, bias);
+          ops::apply_act_(unfused, act);
+          expect_bits(ops::matmul_bias_act(a, b, bias, act), unfused);
+        }
+      }
     }
   }
 }
@@ -107,15 +123,46 @@ TEST(BlockedMatmul, NtBitIdenticalToScalarLoop) {
   expect_bits(ops::matmul_nt(a, b), want);
 }
 
-TEST(FusedMatmul, BiasActMatchesUnfusedComposition) {
-  Tensor a = randn({45, 19}, 9);
-  Tensor b = randn({19, 33}, 10);
-  Tensor bias = randn({33}, 11);
-  for (ops::Act act : {ops::Act::kIdentity, ops::Act::kSigmoid, ops::Act::kTanh,
-                       ops::Act::kRelu}) {
-    Tensor unfused = ops::add_bias(ops::matmul(a, b), bias);
-    ops::apply_act_(unfused, act);
-    expect_bits(ops::matmul_bias_act(a, b, bias, act), unfused);
+TEST(BlockedMatmul, TnNtBitIdenticalToReference) {
+  std::uint64_t seed = 2000;
+  for (std::int64_t n : kPanelNs) {
+    for (std::int64_t m : kPanelMs) {
+      for (std::int64_t k : kPanelKs) {
+        SCOPED_TRACE(::testing::Message() << "M=" << m << " K=" << k << " N=" << n);
+        Tensor at = randn({k, m}, ++seed);
+        Tensor b = randn({k, n}, ++seed);
+        expect_bits(ops::matmul_tn(at, b), ops::matmul_tn_reference(at, b));
+
+        Tensor g = randn({m, k}, ++seed);
+        Tensor w = randn({n, k}, ++seed);
+        expect_bits(ops::matmul_nt(g, w), ops::matmul_nt_reference(g, w));
+
+        Tensor y = randn({m, k}, ++seed);
+        ops::apply_act_(y, ops::Act::kTanh);  // a real activation output
+        for (ops::Act act : kActs) {
+          Tensor dz = Tensor::empty({m, k});
+          const Tensor da = ops::matmul_nt_act_backward(g, y, act, w, dz);
+          const Tensor dz_ref = ops::act_backward(g, y, act);
+          expect_bits(dz, dz_ref);
+          expect_bits(da, ops::matmul_nt_reference(dz_ref, w));
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedActivation, TanhLanesMatchScalarActApply) {
+  // ops::tanh runs the vectorized loop body plus its scalar tail; at
+  // every length across a few vector widths each element must equal
+  // the scalar definition, whichever lane computed it.
+  for (std::int64_t len = 1; len <= 67; ++len) {
+    Tensor x = randn({len}, 3000 + static_cast<std::uint64_t>(len), 3.0f);
+    Tensor want = Tensor::empty({len});
+    for (std::int64_t i = 0; i < len; ++i) {
+      const volatile float xi = x.data()[i];  // keeps this loop scalar
+      want.data()[i] = ops::act_apply(ops::Act::kTanh, xi);
+    }
+    expect_bits(ops::tanh(x), want);
   }
 }
 

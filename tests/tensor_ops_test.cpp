@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "tensor/tensor_ops.h"
 
@@ -57,6 +62,80 @@ TEST(Unary, Activations) {
   EXPECT_NEAR(ops::exp(a).at({1}), 1.0f, 1e-6f);
   EXPECT_EQ(ops::abs(a).at({0}), 1.0f);
   EXPECT_EQ(ops::neg(a).at({2}), -1.0f);
+}
+
+// ----------------------------------------------------- in-tree tanh_f
+
+float from_bits(std::uint32_t b) {
+  float x;
+  std::memcpy(&x, &b, sizeof x);
+  return x;
+}
+
+// |got - want| in units of the float spacing at |want| (the spacing
+// below a power of two, so results just under 1 are held to 2^-24).
+double ulp_error(float got, double want) {
+  const double spacing =
+      want == 0.0 ? std::ldexp(1.0, -149)
+                  : std::ldexp(1.0, std::max(std::ilogb(want) - 23, -149));
+  return std::fabs(static_cast<double>(got) - want) / spacing;
+}
+
+TEST(TanhF, WithinTwoUlpOfDoubleTanhOverEverySeventhPattern) {
+  // Every 7th bit pattern in [0, 20] (157M inputs) through the
+  // vectorized ops::tanh_ path.  The negative half is checked as exact
+  // oddness, f(-x) == -f(x) bit for bit, which with the bound on
+  // [0, 20] bounds the error on [-20, 0] too.
+  const std::uint32_t last = 0x41A00000u;  // 20.0f
+  const std::int64_t chunk = 1 << 16;
+  Tensor pos = Tensor::empty({chunk});
+  Tensor neg = Tensor::empty({chunk});
+  std::vector<float> xs(static_cast<std::size_t>(chunk));
+  double worst = 0.0;
+  float worst_x = 0.0f;
+  std::int64_t checked = 0;
+  std::uint64_t b = 0;
+  while (b <= last) {
+    std::int64_t n = 0;
+    for (; n < chunk && b <= last; ++n, b += 7) {
+      xs[static_cast<std::size_t>(n)] = from_bits(static_cast<std::uint32_t>(b));
+    }
+    for (std::int64_t i = 0; i < chunk; ++i) {
+      const float x = i < n ? xs[static_cast<std::size_t>(i)] : 0.0f;
+      pos.data()[i] = x;
+      neg.data()[i] = -x;
+    }
+    ops::tanh_(pos);
+    ops::tanh_(neg);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float x = xs[static_cast<std::size_t>(i)];
+      const float y = pos.data()[i];
+      const double e = ulp_error(y, std::tanh(static_cast<double>(x)));
+      if (e > worst) {
+        worst = e;
+        worst_x = x;
+      }
+      const float minus_y = -y;
+      ASSERT_EQ(std::memcmp(&neg.data()[i], &minus_y, sizeof(float)), 0) << "x = " << x;
+    }
+    checked += n;
+  }
+  EXPECT_EQ(checked, static_cast<std::int64_t>(last / 7) + 1);
+  EXPECT_LE(worst, 2.0) << "worst input " << worst_x;
+}
+
+TEST(TanhF, SpecialValues) {
+  EXPECT_TRUE(std::isnan(ops::tanh_f(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(ops::tanh_f(-std::numeric_limits<float>::quiet_NaN())));
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(ops::tanh_f(inf), 1.0f);
+  EXPECT_EQ(ops::tanh_f(-inf), -1.0f);
+  EXPECT_EQ(ops::tanh_f(0.0f), 0.0f);
+  EXPECT_FALSE(std::signbit(ops::tanh_f(0.0f)));
+  EXPECT_EQ(ops::tanh_f(-0.0f), 0.0f);
+  EXPECT_TRUE(std::signbit(ops::tanh_f(-0.0f)));
+  // tanh(x) rounds to x itself for tiny x.
+  for (float x : {FLT_MIN, -FLT_MIN, 1e-30f, -1e-30f}) EXPECT_EQ(ops::tanh_f(x), x);
 }
 
 // -------------------------------------------------------------- matmul
